@@ -12,6 +12,17 @@ Either way, net arc delay to one load is ``R * (C/2 + C_pin)`` and the
 net's total wire capacitance additionally loads the driving cell arc.
 Unplaced, unannotated objects contribute zero wire, so purely logical
 designs still time correctly with cell delays only.
+
+Both quantities are memoized per net (:class:`DelayCalculator` keeps
+``output_load(net)`` and each net arc's wire delay, keyed by load pin):
+an incremental update re-derives the same net's load once per edit
+instead of once per arc.  The memo's contract: an edit invalidates the
+nets it touched (:meth:`DelayCalculator.invalidate_nets`, fed
+``ChangeRecord.nets``), and every full update starts from an empty memo
+(:meth:`DelayCalculator.clear_memo`), so anything edited behind the
+engine's back — a shared netlist edited through another corner's
+engine, a parasitics set installed later — is picked up by the next
+full update.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from __future__ import annotations
 from repro.netlist.core import Netlist, PinRef
 from repro.netlist.parasitics import Parasitics
 from repro.netlist.placement import Placement
+from repro.obs.metrics import counter
 from repro.timing.graph import EdgeKind, TimingEdge, TimingGraph
 
 
@@ -52,6 +64,22 @@ class DelayCalculator:
         #: PVT corner scale applied to cell delays and slews (wires are
         #: extracted geometry and scale separately via r/c per nm).
         self.delay_scale = delay_scale
+        #: net -> ``output_load(net)``.
+        self._load_memo: dict[str, float] = {}
+        #: net -> {load pin -> net-arc wire delay}.  Keyed by pin, never
+        #: by edge id: a buffer edit recycles edge ids across nets.
+        self._wire_memo: dict[str, dict[PinRef, float]] = {}
+
+    def clear_memo(self) -> None:
+        """Forget every memoized load and wire delay (full updates)."""
+        self._load_memo.clear()
+        self._wire_memo.clear()
+
+    def invalidate_nets(self, nets: "list[str]") -> None:
+        """Forget the memoized load and wire delays of edited nets."""
+        for net_name in nets:
+            self._load_memo.pop(net_name, None)
+            self._wire_memo.pop(net_name, None)
 
     def net_wire_capacitance(self, net_name: str) -> float:
         """Total wire capacitance of a net (fF).
@@ -73,10 +101,15 @@ class DelayCalculator:
 
     def output_load(self, net_name: str) -> float:
         """Capacitance seen by the driver of a net: pins + wire (fF)."""
-        return (
-            self.netlist.net_load_capacitance(net_name)
-            + self.net_wire_capacitance(net_name)
-        )
+        load = self._load_memo.get(net_name)
+        if load is None:
+            counter("delaycalc.memo_misses").inc()
+            load = (
+                self.netlist.net_load_capacitance(net_name)
+                + self.net_wire_capacitance(net_name)
+            )
+            self._load_memo[net_name] = load
+        return load
 
     def cell_edge(self, graph: TimingGraph, edge: TimingEdge,
                   input_slew: float) -> tuple[float, float]:
@@ -96,22 +129,34 @@ class DelayCalculator:
         """(delay, output slew) of a net arc; slew passes through."""
         assert edge.kind is EdgeKind.NET and edge.net is not None
         dst_ref = graph.node(edge.dst).ref
+        by_load = self._wire_memo.get(edge.net)
+        if by_load is None:
+            by_load = self._wire_memo[edge.net] = {}
+        delay = by_load.get(dst_ref)
+        if delay is None:
+            counter("delaycalc.memo_misses").inc()
+            delay = by_load[dst_ref] = self._wire_delay(
+                edge.net, graph.node(edge.src).ref, dst_ref
+            )
+        return delay, input_slew
+
+    def _wire_delay(self, net_name: str, src_ref: PinRef,
+                    dst_ref: PinRef) -> float:
+        """Elmore delay of one driver-to-load wire segment."""
         pin_cap = 0.0
         if dst_ref.gate is not None:
             cell = self.netlist.cell_of(dst_ref.gate)
             pin_cap = cell.pin(dst_ref.pin).capacitance
         if self.parasitics is not None:
-            annotation = self.parasitics.get(edge.net)
+            annotation = self.parasitics.get(net_name)
             if annotation is not None:
-                return annotation.elmore_to_load(pin_cap), input_slew
-        src_ref = graph.node(edge.src).ref
+                return annotation.elmore_to_load(pin_cap)
         length = segment_length(self.placement, src_ref, dst_ref)
         if length == 0.0:
-            return 0.0, input_slew
+            return 0.0
         resistance = self.wire_r_per_nm * length
         wire_cap = self.wire_c_per_nm * length
-        delay = resistance * (wire_cap / 2.0 + pin_cap)
-        return delay, input_slew
+        return resistance * (wire_cap / 2.0 + pin_cap)
 
     def compute_edge(self, graph: TimingGraph, edge: TimingEdge,
                      input_slew: float) -> None:

@@ -111,6 +111,14 @@ class TimingGraph:
         self.endpoints: dict[int, EndpointInfo] = {}
         self._free_nodes: list[int] = []
         self._free_edges: list[int] = []
+        #: Live net-edge ids per net, maintained by ``_new_edge`` /
+        #: ``_drop_edge``: a net's stale edges are found in O(fanout)
+        #: instead of by a scan over every edge (which made the build
+        #: O(V·E)).
+        self._net_edges: dict[str, set[int]] = {}
+        #: Node ids per gate instance, in creation order (the order
+        #: ``remove_gate_nodes`` frees them, which fixes slot reuse).
+        self._gate_nodes: dict[str, list[int]] = {}
         self._topo_cache: list[int] | None = None
         self._rank_cache: dict[int, int] | None = None
         #: Bumped on every topology mutation (node/edge add or drop).
@@ -192,6 +200,8 @@ class TimingGraph:
             self.edges.append(edge)
         self.out_edges[src].append(edge_id)
         self.in_edges[dst].append(edge_id)
+        if kind is EdgeKind.NET:
+            self._net_edges.setdefault(edge.net, set()).add(edge_id)
         self._topo_cache = None
         self.structure_version += 1
         self._note_structure(nodes=(src, dst), edges=(edge_id,))
@@ -202,6 +212,11 @@ class TimingGraph:
         assert edge is not None
         self.out_edges[edge.src].remove(edge_id)
         self.in_edges[edge.dst].remove(edge_id)
+        if edge.kind is EdgeKind.NET:
+            live = self._net_edges[edge.net]
+            live.discard(edge_id)
+            if not live:
+                del self._net_edges[edge.net]
         self.edges[edge_id] = None
         self._free_edges.append(edge_id)
         self._topo_cache = None
@@ -221,6 +236,7 @@ class TimingGraph:
             if pin.is_clock and cell.is_sequential:
                 node.is_clock_sink = True
             created.append(node.id)
+        self._gate_nodes[gate_name] = created
         for arc in cell.delay_arcs():
             src = self.node_of[PinRef(gate_name, arc.from_pin)]
             dst = self.node_of[PinRef(gate_name, arc.to_pin)]
@@ -247,22 +263,21 @@ class TimingGraph:
 
     def remove_gate_nodes(self, gate_name: str) -> None:
         """Remove all nodes/edges of a deleted gate instance."""
-        doomed = [
-            (ref, node_id) for ref, node_id in self.node_of.items()
-            if ref.gate == gate_name
-        ]
-        for ref, node_id in doomed:
+        doomed = self._gate_nodes.pop(gate_name, [])
+        for node_id in doomed:
+            node = self.nodes[node_id]
+            assert node is not None
             for edge_id in list(self.out_edges[node_id]):
                 self._drop_edge(edge_id)
             for edge_id in list(self.in_edges[node_id]):
                 self._drop_edge(edge_id)
             self.endpoints.pop(node_id, None)
-            del self.node_of[ref]
+            del self.node_of[node.ref]
             self.nodes[node_id] = None
             self._free_nodes.append(node_id)
         self._topo_cache = None
         self.structure_version += 1
-        self._note_structure(nodes=tuple(node_id for _, node_id in doomed))
+        self._note_structure(nodes=tuple(doomed))
 
     def rebuild_net(self, net_name: str) -> list[int]:
         """(Re)create the net edges of one net; returns new edge ids.
@@ -270,12 +285,7 @@ class TimingGraph:
         Called at build time and after any edit that changes a net's
         driver or load set.
         """
-        stale = [
-            e.id for e in self.edges
-            if e is not None and e.kind is EdgeKind.NET and e.net == net_name
-        ]
-        for edge_id in stale:
-            self._drop_edge(edge_id)
+        self.drop_net_edges(net_name)
         driver = self.netlist.net_driver(net_name)
         if driver is None:
             return []
@@ -290,6 +300,22 @@ class TimingGraph:
             edge = self._new_edge(src, dst, EdgeKind.NET, net=net_name)
             created.append(edge.id)
         return created
+
+    def drop_net_edges(self, net_name: str) -> bool:
+        """Drop every live edge of a net; True when there were any.
+
+        Ascending id order, like the all-edge scan this replaces, so
+        the free-slot stack (and every later slot assignment) is
+        unchanged.
+        """
+        stale = sorted(self._net_edges.get(net_name, ()))
+        for edge_id in stale:
+            self._drop_edge(edge_id)
+        return bool(stale)
+
+    def gate_node_ids(self, gate_name: str) -> "list[int]":
+        """Node ids of a gate instance's pins (empty when it has none)."""
+        return self._gate_nodes.get(gate_name, [])
 
     def _note_structure(
         self,

@@ -96,9 +96,7 @@ def _mirror_structure(engine: "STAEngine", change: ChangeRecord) -> bool:
     structural = False
     for gate_name in change.gates:
         in_netlist = gate_name in netlist.gates
-        has_nodes = any(
-            r.gate == gate_name for r in graph.node_of
-        )
+        has_nodes = bool(graph.gate_node_ids(gate_name))
         if in_netlist and not has_nodes:
             graph.add_gate_nodes(gate_name)
             structural = True
@@ -113,15 +111,8 @@ def _mirror_structure(engine: "STAEngine", change: ChangeRecord) -> bool:
         if net_name in netlist.nets:
             graph.rebuild_net(net_name)
             structural = True
-        else:
-            stale = [
-                e.id for e in graph.live_edges()
-                if e.net == net_name
-            ]
-            for edge_id in stale:
-                graph._drop_edge(edge_id)
-            if stale:
-                structural = True
+        elif graph.drop_net_edges(net_name):
+            structural = True
     return structural
 
 
@@ -136,24 +127,27 @@ def refresh_gate_arcs(graph: TimingGraph, gate_name: str) -> None:
 
     graph.arc_epoch += 1  # invalidate per-level LUT groupings
     cell = graph.netlist.cell_of(gate_name)
-    for edge in graph.live_edges():
-        if edge.gate != gate_name or edge.arc is None:
-            continue
-        src_pin = graph.node(edge.src).ref.pin
-        dst_pin = graph.node(edge.dst).ref.pin
-        arc = cell.arc_between(src_pin, dst_pin)
-        if arc is not None:
-            edge.arc = arc
     setup = next(
         (a for a in cell.constraint_arcs() if a.kind is ArcKind.SETUP), None
     )
     hold = next(
         (a for a in cell.constraint_arcs() if a.kind is ArcKind.HOLD), None
     )
-    for info in graph.endpoints.values():
-        if info.gate == gate_name:
+    for node_id in graph.gate_node_ids(gate_name):
+        info = graph.endpoints.get(node_id)
+        if info is not None and info.gate == gate_name:
             info.setup_arc = setup
             info.hold_arc = hold
+        for edge_id in graph.out_edges[node_id]:
+            edge = graph.edges[edge_id]
+            assert edge is not None
+            if edge.gate != gate_name or edge.arc is None:
+                continue
+            src_pin = graph.node(edge.src).ref.pin
+            dst_pin = graph.node(edge.dst).ref.pin
+            arc = cell.arc_between(src_pin, dst_pin)
+            if arc is not None:
+                edge.arc = arc
 
 
 def propagate_incremental(
@@ -298,6 +292,10 @@ def apply_change_incremental(engine: "STAEngine", change: ChangeRecord) -> int:
     cone — no graph surgery, no depth recompute, no derate pass.
     """
     engine.ensure_timing()
+    # Every net whose pin caps, loads, or geometry moved is listed in
+    # ``change.nets``; the delay calculator's per-net memo drops exactly
+    # those.
+    engine.calc.invalidate_nets(change.nets)
     if change.kind in ("resize", "vt_swap"):
         for gate_name in change.gates:
             refresh_gate_arcs(engine.graph, gate_name)

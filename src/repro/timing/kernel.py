@@ -35,11 +35,12 @@ weighted (mGBA) updates, and post-edit incremental states alike.
 
 Incremental updates reuse the layout: a per-level frontier seeded from
 the edit's cone advances through exactly the levels that contain dirty
-nodes (a heap of level indices over id buckets), re-relaxing only the
-dirty slice of each touched level and marking fanout dirty exactly when
-the scalar worklist would (value or out-edge movement beyond the shared
-epsilon) — O(cone), not O(levels) — so ``closure.run``'s thousands of
-ECO updates ride the same arrays.
+nodes (a heap of level indices over id buckets), relaxing each dirty
+node with a plain loop over list mirrors of the fanin CSR and marking
+fanout dirty exactly when the scalar worklist would (value or out-edge
+movement beyond the shared epsilon) — O(cone), not O(levels).  Closure
+cones hold a few dirty nodes per level, too few for per-level numpy
+batching to pay for its call overhead.
 
 Two cold-path amortizations complete the picture.  **Persistence**: a
 pristine graph's structural arrays are content-addressed and, when a
@@ -176,6 +177,30 @@ class LevelizedLayout:
     #: bumps ``arc_epoch`` or ``structure_version`` (fresh layout), so
     #: the cache never sees stale delay-calc inputs.
     _flow_key: "tuple | None" = field(default=None, repr=False)
+    #: Python-list mirrors of ``in_ptr``/``in_edge``/``in_src``/
+    #: ``pos_of``/``node_level`` for the per-node incremental relax,
+    #: built lazily and keyed on ``structure_version`` (clones share
+    #: them along with the arrays they mirror).
+    _mirror_version: int = field(default=-1, repr=False, compare=False)
+    _mirrors: "tuple[list[int], ...]" = field(
+        default=(), repr=False, compare=False
+    )
+
+    def csr_mirrors(self) -> "tuple[list[int], ...]":
+        """``(in_ptr, in_edge, in_src, pos_of, node_level)`` as lists.
+
+        Indexing a Python list is several times cheaper than indexing
+        an ndarray element, which is what a relax over a handful of
+        nodes does.
+        """
+        if self._mirror_version != self.structure_version:
+            self._mirrors = (
+                self.in_ptr.tolist(), self.in_edge.tolist(),
+                self.in_src.tolist(), self.pos_of.tolist(),
+                self.node_level.tolist(),
+            )
+            self._mirror_version = self.structure_version
+        return self._mirrors
 
     @property
     def levels(self) -> int:
@@ -1375,7 +1400,7 @@ def sync_edge_arrays(layout: LevelizedLayout, graph: TimingGraph) -> None:
 
 
 # ----------------------------------------------------------------------
-# Incremental propagation (frontier-bounded level sweep)
+# Incremental propagation (frontier-bounded per-node relax)
 # ----------------------------------------------------------------------
 def propagate_incremental(
     layout: LevelizedLayout,
@@ -1392,8 +1417,15 @@ def propagate_incremental(
     — an edit touching a 50-node cone on a deep design does O(cone)
     work, not a scan over every level.  Fanout marking only ever
     targets strictly deeper levels (levelization legality), so each
-    level is processed at most once and the relaxed set is identical to
-    the old full-mask scan.
+    level is processed at most once.
+
+    Each dirty node is relaxed by a plain loop over the layout's
+    list-mirrored fanin CSR (:meth:`LevelizedLayout.csr_mirrors`),
+    evaluating :func:`~repro.timing.propagation.relax_node`'s IEEE
+    expressions from the same starting values (−inf / +inf / 0.0).
+    Closure cones hold a few dirty nodes per level, where per-level
+    numpy gathers and reductions cost more than the work they batch;
+    full sweeps stay vectorized.
 
     Semantics mirror the scalar rank-ordered worklist exactly: a node
     is re-relaxed iff it is a seed or an already-relaxed fanin source
@@ -1407,18 +1439,19 @@ def propagate_incremental(
     # An incremental sweep rewrites slews/delays in the cone under the
     # same state object; the next full update must re-derive them.
     layout._flow_key = None
-    node_level = layout.node_level
-    dirty = np.zeros(layout.n_node_slots, dtype=bool)
+    in_ptr, in_edge, in_src, pos_of, node_level = layout.csr_mirrors()
+    n_slots = layout.n_node_slots
+    dirty: "set[int]" = set()
     buckets: "dict[int, list[int]]" = {}
     heap: list[int] = []
 
     def mark(node_id: int) -> None:
-        if dirty[node_id]:
+        if node_id in dirty:
             return
-        lv = int(node_level[node_id])
+        lv = node_level[node_id]
         if lv < 0:  # dead slot: the scalar worklist skips these too
             return
-        dirty[node_id] = True
+        dirty.add(node_id)
         bucket = buckets.get(lv)
         if bucket is None:
             buckets[lv] = [node_id]
@@ -1427,81 +1460,93 @@ def propagate_incremental(
             bucket.append(node_id)
 
     for seed in seeds:
-        if 0 <= seed < layout.n_node_slots:
+        if 0 <= seed < n_slots:
             mark(seed)
     visited = 0
     levels_touched = 0
+    edges_computed = 0
+    # ``ndarray.item`` yields Python floats: the same IEEE doubles as
+    # numpy scalars, at a fraction of the per-element cost.
     arrival_late = state.arrival_late
     arrival_early = state.arrival_early
     slew = state.slew
-    derate_late = state.derate_late
-    derate_early = state.derate_early
+    late_at, early_at, slew_at = (
+        arrival_late.item, arrival_early.item, slew.item
+    )
+    derate_late_at = state.derate_late.item
+    derate_early_at = state.derate_early.item
     edge_delay = layout.edge_delay
     edge_out_slew = layout.edge_out_slew
+    delay_at, out_slew_at = edge_delay.item, edge_out_slew.item
+    boundary_arrival_at = layout.boundary_arrival.item
+    boundary_slew_at = layout.boundary_slew.item
+    edges = graph.edges
+    out_edges = graph.out_edges
+    compute_edge = calc.compute_edge
     while heap:
         lv = heapq.heappop(heap)
-        # Ascending id within the level — the exact order the old
-        # mask-over-``order`` scan produced (order sorts ties by id).
-        sel = np.asarray(sorted(buckets.pop(lv)), dtype=np.int64)
         levels_touched += 1
-        visited += int(sel.size)
-        old_late = arrival_late[sel].copy()
-        old_early = arrival_early[sel].copy()
-        old_slew = slew[sel].copy()
-        if lv == 0:
-            arrival_late[sel] = layout.boundary_arrival[sel]
-            arrival_early[sel] = layout.boundary_arrival[sel]
-            slew[sel] = layout.boundary_slew[sel]
-        else:
-            positions = layout.pos_of[sel]
-            starts = layout.in_ptr[positions]
-            counts = layout.in_ptr[positions + 1] - starts
-            total = int(counts.sum())
-            seg = np.zeros(sel.size, dtype=np.int64)
-            np.cumsum(counts[:-1], out=seg[1:])
-            flat = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(seg, counts)
-                + np.repeat(starts, counts)
+        # Ascending id within the level, like the full sweep's order.
+        bucket = sorted(buckets.pop(lv))
+        visited += len(bucket)
+        for node_id in bucket:
+            old_late = late_at(node_id)
+            old_early = early_at(node_id)
+            old_slew = slew_at(node_id)
+            if lv == 0:
+                late = early = boundary_arrival_at(node_id)
+                node_slew = boundary_slew_at(node_id)
+            else:
+                late = NEG_INF
+                early = POS_INF
+                node_slew = 0.0
+                pos = pos_of[node_id]
+                for k in range(in_ptr[pos], in_ptr[pos + 1]):
+                    eid = in_edge[k]
+                    src = in_src[k]
+                    delay = delay_at(eid)
+                    value = late_at(src) + delay * derate_late_at(eid)
+                    if value > late:
+                        late = value
+                    value = early_at(src) + delay * derate_early_at(eid)
+                    if value < early:
+                        early = value
+                    value = out_slew_at(eid)
+                    if value > node_slew:
+                        node_slew = value
+            arrival_late[node_id] = late
+            arrival_early[node_id] = early
+            slew[node_id] = node_slew
+            changed = (
+                abs(late - old_late) > _EPS
+                or abs(early - old_early) > _EPS
+                or abs(node_slew - old_slew) > _EPS
             )
-            eids = layout.in_edge[flat]
-            srcs = layout.in_src[flat]
-            delays = edge_delay[eids]
-            late_vals = arrival_late[srcs] + delays * derate_late[eids]
-            early_vals = arrival_early[srcs] + delays * derate_early[eids]
-            arrival_late[sel] = np.maximum.reduceat(late_vals, seg)
-            arrival_early[sel] = np.minimum.reduceat(early_vals, seg)
-            slew[sel] = np.maximum(
-                np.maximum.reduceat(edge_out_slew[eids], seg), 0.0
-            )
-        node_moved = (
-            (np.abs(arrival_late[sel] - old_late) > _EPS)
-            | (np.abs(arrival_early[sel] - old_early) > _EPS)
-            | (np.abs(slew[sel] - old_slew) > _EPS)
-        ).tolist()
-        # Out-edge delay calc stays scalar here: cones are small and the
-        # per-edge diff must match the worklist's exactly.
-        for moved, node_id in zip(node_moved, sel.tolist()):
-            edges_changed = False
-            node_slew = float(slew[node_id])
-            for edge_id in graph.out_edges[node_id]:
-                edge = graph.edges[edge_id]
+            # Out-edge delays depend on the node's slew and on
+            # downstream loads; a seed may carry stale edges even when
+            # its own values did not move, so always recompute and diff.
+            fanout = out_edges[node_id]
+            edges_computed += len(fanout)
+            for edge_id in fanout:
+                edge = edges[edge_id]
                 assert edge is not None
                 old_delay, old_out = edge.delay, edge.out_slew
-                calc.compute_edge(graph, edge, node_slew)
+                compute_edge(graph, edge, node_slew)
                 edge_delay[edge_id] = edge.delay
                 edge_out_slew[edge_id] = edge.out_slew
                 if (
                     abs(edge.delay - old_delay) > _EPS
                     or abs(edge.out_slew - old_out) > _EPS
                 ):
-                    edges_changed = True
-            if moved or edges_changed:
-                for edge_id in graph.out_edges[node_id]:
-                    edge = graph.edges[edge_id]
+                    changed = True
+            if changed:
+                for edge_id in fanout:
+                    edge = edges[edge_id]
                     assert edge is not None
                     mark(edge.dst)
     counter("kernel.incremental_sweeps").inc()
+    counter("kernel.incremental_nodes").inc(visited)
+    counter("kernel.incremental_edges").inc(edges_computed)
     histogram("kernel.frontier_levels").observe(levels_touched)
     return visited
 

@@ -190,6 +190,8 @@ class ScenarioStack:
             graph.mark_clock_tree(base.clock_ports)
             base.gba_depths = compute_gba_depths(base.netlist)
         layout = base._ensure_layout()
+        for eng in self.engines:
+            eng.calc.clear_memo()
         n_scen = len(self.engines)
         with span(
             "kernel.scenario_propagate",

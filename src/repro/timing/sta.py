@@ -243,6 +243,7 @@ class STAEngine:
         ) as update_span:
             if self._structure_dirty:
                 self._refresh_structure()
+            self.calc.clear_memo()
             if self.kernel == "vector":
                 try:
                     kernel_mod.propagate_full(
