@@ -37,11 +37,12 @@ worker count.
 Invalidation is key *rotation*, not deletion: a
 :class:`~repro.netlist.edit.ChangeRecord` fed to :meth:`apply_change`
 updates the live engine incrementally (``repro.timing.incremental``)
-and recomputes the design's content address, so every dependent lookup
-misses and recomputes — while artifacts of the *previous* content stay
-on disk and hit again if an optimizer reverts the edit.  A stale fit
-can never be served because nothing maps the new key to old bytes
-(property-tested in ``tests/service``).
+and rotates the design's content address (rehashing only the netlist
+and placement, the two components an edit can move), so every
+dependent lookup misses and recomputes — while artifacts of the
+*previous* content stay on disk and hit again if an optimizer reverts
+the edit.  A stale fit can never be served because nothing maps the
+new key to old bytes (property-tested in ``tests/service``).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ import itertools
 import os
 import time
 import traceback as traceback_mod
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
@@ -302,6 +302,9 @@ class TimingService:
         self._factories: "dict[str, Callable[[], Design]]" = {}
         self._engines: "OrderedDict[str, STAEngine]" = OrderedDict()
         self._keys: "dict[str, keymod.DesignKey]" = {}
+        #: Keys popped by :meth:`apply_change`: the base the next
+        #: :meth:`design_key` rotates from instead of rehashing all.
+        self._stale_keys: "dict[str, keymod.DesignKey]" = {}
         #: Names resolvable by rebuild in a worker process (suite/fig2).
         self._by_name: "set[str]" = set()
         self._started = time.monotonic()
@@ -354,6 +357,7 @@ class TimingService:
             self._factories[name] = factory  # type: ignore[assignment]
         self._engines.pop(name, None)
         self._keys.pop(name, None)
+        self._stale_keys.pop(name, None)
 
     def design(self, name: str) -> Design:
         """The (memoized) design bundle behind a registered name."""
@@ -380,13 +384,18 @@ class TimingService:
         return engine
 
     def design_key(self, name: str) -> keymod.DesignKey:
-        """The design's current content address (memoized until edited)."""
+        """The design's current content address (memoized until edited).
+
+        After an edit the key rotates from the pre-edit one: only the
+        netlist and placement are rehashed.
+        """
         key = self._keys.get(name)
         if key is None:
             bundle = self.design(name)
             key = keymod.design_key(
                 bundle.netlist, bundle.constraints,
                 getattr(bundle, "placement", None), bundle.sta_config,
+                previous=self._stale_keys.pop(name, None),
             )
             self._keys[name] = key
         return key
@@ -402,19 +411,7 @@ class TimingService:
         rotates, so exactly the artifacts derived from the old content
         stop being served — other designs, and this design's *previous*
         content (hit again after a revert), are untouched.
-
-        The pre-unification form ``apply_change(name, change)`` still
-        works behind a :class:`DeprecationWarning` for one release.
         """
-        if isinstance(change, str) and isinstance(design, ChangeRecord):
-            warnings.warn(
-                "TimingService.apply_change(name, change) is deprecated; "
-                "call apply_change(change, design=name) — the ChangeRecord "
-                "now leads, matching STAEngine.apply_change",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            change, design = design, change
         if not isinstance(change, ChangeRecord):
             raise ServiceError(
                 f"apply_change takes a ChangeRecord, got "
@@ -425,7 +422,9 @@ class TimingService:
         engine = self._engines.get(design)
         if engine is not None:
             engine.apply_change(change)
-        self._keys.pop(design, None)
+        key = self._keys.pop(design, None)
+        if key is not None:
+            self._stale_keys[design] = key
         counter("service.invalidations").inc()
 
     # ------------------------------------------------------------------
@@ -965,6 +964,11 @@ class TimingService:
             for results in groups:
                 for outcome in results:
                     unique[outcome.query] = outcome
+            # The workers wrote through their own stores on the same
+            # root: one exact scan enforces the byte budget over their
+            # writes and re-seeds this store's running total.
+            if self.cache is not None and self.cache.disk is not None:
+                self.cache.disk.evict()
         else:
             inline = pending
         for query in inline:

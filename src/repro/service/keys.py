@@ -12,8 +12,11 @@ from*, never by a design's name or a wall-clock stamp:
 Content addressing is what makes invalidation trivial: a
 :class:`~repro.netlist.edit.ChangeRecord` changes the netlist, the
 netlist changes the design key, and every dependent artifact simply
-misses — stale entries can never be *served*, only evicted.  See
-``docs/service.md`` for the full key schema.
+misses — stale entries can never be *served*, only evicted.  An edit
+touches only the netlist and (for a buffer insertion) the placement,
+so a key rotated after one (:func:`design_key` with ``previous=``)
+rehashes just those two components and carries the liberty, SDC and
+config digests over.  See ``docs/service.md`` for the full key schema.
 
 Hashing goes through the canonical text serializers (``write_verilog``,
 ``write_liberty``, ``write_sdc``, ``write_placement``, ``write_aocv``)
@@ -24,7 +27,7 @@ anything the writers don't capture can't affect timing either.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,8 +141,23 @@ def design_key(
     constraints: "Constraints",
     placement: "Placement | None" = None,
     config: "STAConfig | None" = None,
+    *,
+    previous: "DesignKey | None" = None,
 ) -> DesignKey:
-    """Compute the content address of a design bundle."""
+    """Compute the content address of a design bundle.
+
+    ``previous`` is the key of the same bundle before a netlist edit:
+    edits never touch the library, constraints or STA config, so only
+    the netlist and placement are rehashed and the other three digests
+    are carried over — equal to a from-scratch key, at the cost of the
+    two components an edit can move.
+    """
+    if previous is not None:
+        return replace(
+            previous,
+            netlist=netlist_hash(netlist),
+            placement=placement_hash(placement),
+        )
     from repro.timing.sta import STAConfig
 
     return DesignKey(

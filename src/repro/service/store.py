@@ -27,6 +27,14 @@ entries — a killed writer, a partial disk — are treated as misses and
 deleted; writes go through a temp file + atomic rename so readers in
 other processes never observe a half-written artifact.
 
+A store keeps a *running* byte total so a write costs O(1), not a
+directory scan: one exact scan seeds it, each write, invalidation and
+corrupt-entry drop adjusts it, and the exact LRU scan runs only when
+the total crosses ``max_bytes`` (re-seeding it from what is on disk).
+Other stores writing the same root — shard workers — are invisible to
+it until that scan or an explicit :meth:`DiskStore.evict`.  Every full
+directory scan increments ``service.store.scans``.
+
 Every lookup increments ``cache.hit`` / ``cache.miss`` (plus the
 per-class ``cache.hit.<cls>`` twins), which is what the cold-vs-warm
 CI gate and the acceptance tests assert on.  The service-telemetry
@@ -42,6 +50,7 @@ import json
 import os
 import pickle
 import shutil
+import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any
@@ -106,6 +115,8 @@ class DiskStore:
         self.max_bytes = max_bytes
         self._dir = self.root / f"v{SCHEMA_VERSION}"
         self._initialized = False
+        #: Running total of artifact bytes, seeded by ``_ensure_layout``.
+        self._bytes = 0
 
     # ------------------------------------------------------------------
     # Layout
@@ -127,6 +138,7 @@ class DiskStore:
         if not meta.exists():
             meta.write_text(json.dumps({"schema": SCHEMA_VERSION}) + "\n")
         self._initialized = True
+        self._bytes = self.total_bytes()
 
     def _path(self, cls: str, key: str) -> Path:
         if cls not in ARTIFACT_CLASSES:
@@ -150,7 +162,7 @@ class DiskStore:
             return None
         except Exception as exc:  # truncated/corrupt pickle
             logger.warning("dropping corrupt cache entry %s: %s", path, exc)
-            path.unlink(missing_ok=True)
+            self._unlink(path)
             return None
         try:
             os.utime(path)  # LRU recency for the evictor
@@ -163,15 +175,33 @@ class DiskStore:
         self._ensure_layout()
         path = self._path(cls, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        # pid + thread id: thread-backend workers share a pid, and two
+        # writers of one key must never share a temp file.
+        tmp = path.with_suffix(
+            f".tmp.{os.getpid()}.{threading.get_ident()}"
+        )
         try:
             with open(tmp, "wb") as fh:
                 pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                written = fh.tell()
+            replaced = _size(path)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        self.evict()
-        gauge("service.cache.bytes").set(self.total_bytes())
+        self._bytes += written - replaced
+        if self._bytes > self.max_bytes:
+            self.evict()
+        gauge("service.cache.bytes").set(self._bytes)
+
+    def _unlink(self, path: Path) -> bool:
+        """Delete one artifact file, keeping the running total."""
+        size = _size(path)
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            return False
+        self._bytes -= size
+        return True
 
     def invalidate(self, cls: "str | None" = None,
                    key: "str | None" = None) -> int:
@@ -182,10 +212,7 @@ class DiskStore:
         """
         self._ensure_layout()
         if cls is not None and key is not None:
-            path = self._path(cls, key)
-            existed = path.exists()
-            path.unlink(missing_ok=True)
-            return int(existed)
+            return int(self._unlink(self._path(cls, key)))
         removed = 0
         classes = (cls,) if cls is not None else ARTIFACT_CLASSES
         for name in classes:
@@ -193,7 +220,7 @@ class DiskStore:
             if not directory.is_dir():
                 continue
             for entry in directory.glob("*.pkl"):
-                entry.unlink(missing_ok=True)
+                self._unlink(entry)
                 removed += 1
         return removed
 
@@ -207,32 +234,55 @@ class DiskStore:
                 found.extend(directory.glob("*.pkl"))
         return found
 
-    def total_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self.entries() if p.exists())
+    def _scan(self) -> "list[tuple[float, int, Path]]":
+        """(mtime, size, path) of every artifact file: one full scan.
 
-    def evict(self) -> int:
-        """Drop least-recently-used entries until under ``max_bytes``."""
-        entries = []
+        Files that vanish between listing and ``stat`` (another
+        writer's eviction) are skipped.
+        """
+        counter("service.store.scans").inc()
+        found = []
         for path in self.entries():
             try:
                 stat = path.stat()
             except FileNotFoundError:
                 continue
-            entries.append((stat.st_mtime, stat.st_size, path))
+            found.append((stat.st_mtime, stat.st_size, path))
+        return found
+
+    def total_bytes(self) -> int:
+        """Exact artifact bytes on disk: a full scan, not the running total."""
+        return sum(size for _, size, _ in self._scan())
+
+    def evict(self) -> int:
+        """Drop least-recently-used entries until under ``max_bytes``.
+
+        Runs the exact scan, so it also re-seeds the running total —
+        call it after other stores (shard workers) wrote this root.
+        """
+        entries = self._scan()
         total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
-            return 0
         evicted = 0
-        for _, size, path in sorted(entries):
-            if total <= self.max_bytes:
-                break
-            path.unlink(missing_ok=True)
-            total -= size
-            evicted += 1
+        if total > self.max_bytes:
+            for _, size, path in sorted(entries):
+                if total <= self.max_bytes:
+                    break
+                path.unlink(missing_ok=True)
+                total -= size
+                evicted += 1
+        self._bytes = total
         if evicted:
             counter("cache.evictions").inc(evicted)
             counter("service.cache.eviction").inc(evicted)
         return evicted
+
+
+def _size(path: Path) -> int:
+    """Size of ``path`` in bytes; 0 when it does not exist."""
+    try:
+        return path.stat().st_size
+    except FileNotFoundError:
+        return 0
 
 
 class ArtifactCache:

@@ -1,6 +1,7 @@
 """GBA worst-depth computation tests — the heart of the pessimism gap."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.errors import TimingError
 from repro.liberty.builder import make_unit_delay_library
@@ -11,6 +12,7 @@ from repro.aocv.depth import (
     forward_min_depths,
 )
 from repro.designs.paper_example import EXPECTED_GBA_DEPTHS, build_fig2_design
+from tests.timing.strategies import designs
 
 LIB = make_unit_delay_library()
 
@@ -109,3 +111,33 @@ class TestInvariant:
         n.add_gate("u2", "INV_U", {"A": "w1", "Z": "w2"})
         with pytest.raises(TimingError):
             compute_gba_depths(n)
+
+
+def _wrapper_depths(netlist: Netlist) -> dict:
+    """``fwd + bwd - 1`` from the public per-direction wrappers."""
+    fwd = forward_min_depths(netlist)
+    bwd = backward_min_depths(netlist)
+    return {g: fwd[g] + bwd[g] - 1 for g in fwd}
+
+
+class TestSharedSweepGraph:
+    """``compute_gba_depths`` builds the DAG once for both sweeps and
+    must agree with the wrappers that build it per direction — values
+    and gate order alike (the layout cache key reprs the map)."""
+
+    def test_fixture_designs(self, small_design):
+        for netlist in (
+            _chain(5), build_fig2_design().netlist, small_design.netlist,
+        ):
+            got = compute_gba_depths(netlist)
+            want = _wrapper_depths(netlist)
+            assert list(got.items()) == list(want.items())
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(design=designs())
+    def test_hypothesis_designs(self, design):
+        got = compute_gba_depths(design.netlist)
+        assert list(got.items()) == list(
+            _wrapper_depths(design.netlist).items()
+        )

@@ -129,13 +129,18 @@ class TestBatching:
         serial = TimingService(
             context=make_context(tmp_path / "a")
         ).submit(batch)
-        sharded = TimingService(
+        parallel = TimingService(
             context=make_context(tmp_path / "b", workers=2,
                                  backend="thread")
-        ).submit(batch)
+        )
+        sharded = parallel.submit(batch)
         for s, p in zip(serial, sharded):
             assert s.ok and p.ok
             assert s.result == p.result
+        # The workers wrote through their own stores on the same root;
+        # the batch re-seeds the parent store's running byte total.
+        disk = parallel.cache.disk
+        assert disk._bytes == disk.total_bytes() > 0
 
 
 class TestRegistration:

@@ -1,6 +1,7 @@
 """Two-tier cache tests: LRU, disk store, eviction, corruption."""
 
 import pickle
+import threading
 
 import pytest
 
@@ -111,3 +112,88 @@ class TestArtifactCache:
         assert ArtifactCache.from_context(
             RunContext(cache=False)
         ) is None
+
+
+def _scans() -> float:
+    return default_registry().counter("service.store.scans").value
+
+
+class TestRunningTotal:
+    """``DiskStore`` keeps its byte total without rescanning the disk."""
+
+    def test_puts_under_budget_scan_once(self, tmp_path):
+        store = DiskStore(tmp_path / "cache")
+        before = _scans()
+        for index in range(300):
+            store.put("sta", f"k{index}", index)
+        assert _scans() - before == 1  # the seed scan, nothing per put
+        assert store._bytes == store.total_bytes()
+
+    def test_eviction_reseeds_the_exact_total(self, tmp_path):
+        store = DiskStore(tmp_path / "cache", max_bytes=1000)
+        before = _scans()
+        for index in range(40):
+            store.put("sta", f"k{index}", "x" * 100)
+        gauge = default_registry().gauge("service.cache.bytes").value
+        assert _scans() - before > 1  # eviction ran the exact scan
+        assert store._bytes == gauge == store.total_bytes() <= 1000
+        assert store.get("sta", "k39") == "x" * 100
+
+    def test_overwrite_invalidate_and_corrupt_drop_keep_it_exact(
+            self, tmp_path):
+        store = DiskStore(tmp_path / "cache")
+        store.put("sta", "a", "x" * 50)
+        store.put("sta", "a", "x" * 500)  # overwrite: old size leaves
+        store.put("pba", "b", [1, 2, 3])
+        store.put("fit", "c", "y" * 80)
+        assert store._bytes == store.total_bytes()
+        store.invalidate("sta", "a")
+        assert store._bytes == store.total_bytes()
+        store._path("fit", "c").write_bytes(b"\x80garbage")
+        store._bytes = store.total_bytes()  # out-of-band write
+        assert store.get("fit", "c") is None
+        assert store._bytes == store.total_bytes()
+        store.invalidate()
+        assert store._bytes == store.total_bytes() == 0
+
+    def test_other_writers_are_seen_after_evict(self, tmp_path):
+        parent = DiskStore(tmp_path / "cache")
+        parent.put("sta", "mine", 1)
+        worker = DiskStore(tmp_path / "cache")
+        worker.put("sta", "theirs", "z" * 300)
+        assert parent._bytes < parent.total_bytes()
+        parent.evict()
+        assert parent._bytes == parent.total_bytes()
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_concurrent_puts_of_one_key(self, tmp_path, shared):
+        """Two threads in one process (one pid) writing the same key
+        never trip over each other's temp file."""
+        root = tmp_path / "cache"
+        stores = [DiskStore(root)] * 2 if shared else [
+            DiskStore(root), DiskStore(root)
+        ]
+        errors = []
+
+        def writer(store, tag):
+            try:
+                for index in range(50):
+                    store.put("sta", "same", (tag, index, "p" * 2000))
+            except Exception as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=writer, args=(store, tag))
+            for tag, store in enumerate(stores)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        tag, index, payload = stores[0].get("sta", "same")
+        assert index == 49 and payload == "p" * 2000
+        leftovers = sorted(
+            p.name for p in (root / f"v{SCHEMA_VERSION}" / "sta").iterdir()
+        )
+        assert leftovers == ["same.pkl"]  # no temp file left behind

@@ -93,26 +93,16 @@ class TestApplyChangeUnification:
             change = resize_gate(netlist, gate, up=False)
         return service, change
 
-    def test_old_form_warns_and_still_rotates_the_key(self, tmp_path):
-        from repro.context import RunContext
-        from repro.designs.generator import generate_design
-        from repro.netlist.edit import resize_gate
-        from repro.service import TimingService
-        from tests.conftest import SMALL_SPEC
+    def test_old_form_is_rejected(self, tmp_path):
+        """The ``apply_change(name, change)`` shim is gone: the old
+        argument order is a type error, and the key does not rotate."""
+        from repro.service import ServiceError
 
-        service = TimingService(context=RunContext.from_env(
-            workers=1, backend="serial", cache_dir=str(tmp_path / "cache"),
-        ))
-        service.register_design("dut", design=generate_design(SMALL_SPEC))
-        before = service.design_key("dut").token  # pre-edit content
-        netlist = service.design("dut").netlist
-        gate = netlist.combinational_gates()[0]
-        change = resize_gate(netlist, gate, up=True)
-        if change is None:
-            change = resize_gate(netlist, gate, up=False)
-        with pytest.warns(DeprecationWarning, match="design=name"):
+        service, change = self._service_and_change(tmp_path)
+        before = service.design_key("dut").token
+        with pytest.raises(ServiceError, match="ChangeRecord"):
             service.apply_change("dut", change)
-        assert service.design_key("dut").token != before
+        assert service.design_key("dut").token == before
 
     def test_new_form_is_silent(self, tmp_path):
         service, change = self._service_and_change(tmp_path)
